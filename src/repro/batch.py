@@ -11,9 +11,9 @@ into one buffer and run the expensive machinery once.
 :func:`compress_batch` is the end-to-end entry point:
 
 1. **One routing decision** for the whole batch
-   (:func:`repro.lzss.router.route_batch`): a single probe over the
-   packed bytes instead of N per-payload probes, with a stored bypass
-   for all-incompressible batches.
+   (:func:`repro.lzss.router.route_batch`): with ``sniff=True``, a
+   single probe over the packed bytes instead of N per-payload probes,
+   with a stored bypass for all-incompressible batches.
 2. **One tokenization pass** (:func:`repro.lzss.batch.tokenize_batch`):
    payloads are packed into one contiguous buffer and matched by a
    single vectorised hash/match sweep with seam masks, so no match ever
@@ -50,11 +50,7 @@ from repro.lzss.batch import (
 )
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
-from repro.lzss.router import (
-    RouterConfig,
-    RoutingDecision,
-    route_batch,
-)
+from repro.lzss.router import RoutingDecision, route_batch
 from repro.profile import CompressionProfile
 
 
@@ -133,7 +129,7 @@ def compress_batch(
     backend: Optional[str] = None,
     shared_plan: Optional[bool] = None,
     backends: Optional[Mapping[int, str]] = None,
-    router: Optional[RouterConfig] = None,
+    sniff: Optional[bool] = None,
 ) -> BatchResult:
     """Compress N independent payloads in one batched pass.
 
@@ -153,6 +149,10 @@ def compress_batch(
     (``{3: "traced"}``) to override the batch route for individual
     payloads — the tokens are bit-identical across backends, so this
     only moves which kernel runs (e.g. tracing one payload of a batch).
+
+    ``sniff`` (default off, unlike the single-stream entry points)
+    probes the packed batch once and stores every payload verbatim when
+    the whole batch looks incompressible.
     """
     from repro.api import CompressRequest
 
@@ -164,11 +164,12 @@ def compress_batch(
         backend=backend,
         batch_shared_plan=shared_plan,
         zdict=zdict if zdict else None,
-        router=router,
+        sniff=sniff,
     ).resolve(
         backend="auto",
         hash_spec=HashSpec(),
         policy=BATCH_GREEDY_POLICY,
+        sniff=False,
     )
     window_size = resolved.window_size
     hash_spec = resolved.hash_spec or HashSpec()
@@ -176,7 +177,6 @@ def compress_batch(
     backend = resolved.backend
     shared = resolved.batch_shared_plan
     zdict = resolved.zdict
-    config = resolved.router
 
     payloads = [bytes(p) for p in payloads]
     overrides = dict(backends or {})
@@ -195,14 +195,14 @@ def compress_batch(
 
     if not payloads:
         routing = RoutingDecision(
-            backend="fast", requested=backend, route=config.route,
-            reason="empty-batch",
+            backend="fast", requested=backend, reason="empty-batch",
         )
         return BatchResult([], (), routing, None,
                            BatchStats(0, 0, 0, {}))
 
     routing = route_batch(
-        b"".join(payloads), backend=backend, policy=policy, config=config
+        b"".join(payloads), backend=backend, policy=policy,
+        sniff=resolved.sniff,
     )
     if routing.backend == "stored":
         bodies = _stored_bodies(payloads)
@@ -211,7 +211,7 @@ def compress_batch(
     else:
         tokens_list = tokenize_batch(
             payloads, window_size, hash_spec, policy,
-            backend=routing.backend, dictionary=dictionary,
+            backend=backend, dictionary=dictionary,
         )
         for index, name in overrides.items():
             tokens_list[index] = tokenize_scalar(

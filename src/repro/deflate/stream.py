@@ -155,9 +155,6 @@ class ZLibStreamCompressor:
         sniff: Optional[bool] = None,
         backend: Optional[str] = None,
         refine: Optional[bool] = None,
-        route: Optional[str] = None,
-        probe_entropy_bits: Optional[float] = None,
-        probe_match_density: Optional[float] = None,
         trace_fraction: Optional[float] = None,
         trace_seed: Optional[int] = None,
         router=None,
@@ -177,9 +174,6 @@ class ZLibStreamCompressor:
             sniff=sniff,
             backend=backend,
             refine=refine,
-            route=route,
-            probe_entropy_bits=probe_entropy_bits,
-            probe_match_density=probe_match_density,
             trace_fraction=trace_fraction,
             trace_seed=trace_seed,
             router=router,
@@ -200,10 +194,9 @@ class ZLibStreamCompressor:
             RefineConfig(window_size=resolved.window_size)
             if resolved.refine and resolved.cut_search else None
         )
-        # Chunks are this stream's routing unit: with route="probe" an
-        # "auto" backend is re-decided per chunk from the probe, and the
-        # sampling policy may divert chunks through "traced" for
-        # telemetry. Bytes are identical either way.
+        # Chunks are this stream's routing unit: the sampling policy may
+        # divert chunks through "traced" for telemetry. Bytes are
+        # identical either way.
         self.router = resolved.router
         #: One RoutingDecision per compressed chunk, in order.
         self.routing = []
@@ -250,15 +243,11 @@ class ZLibStreamCompressor:
 
         index = self._chunk_index
         self._chunk_index += 1
-        config = self.router
-        need_sniff = self.strategy is BlockStrategy.ADAPTIVE and self.sniff
-        need_probe = config.route == "probe" and self.backend == "auto"
         probe = None
-        if need_sniff or need_probe:
-            # One probe per chunk, shared by the stored bypass and the
-            # router — the chunk is never sniffed twice.
-            probe = probe_shard(chunk, match_density=need_probe)
-        if need_sniff and probe.incompressible:
+        if self.strategy is BlockStrategy.ADAPTIVE and self.sniff:
+            # One probe per chunk, kept in the routing record.
+            probe = probe_shard(chunk)
+        if probe is not None and probe.incompressible:
             # Incompressible chunk: straight to stored blocks, no
             # tokenization. The bytes still enter the history — the
             # inflater's window holds them, so the next chunk's
@@ -266,12 +255,12 @@ class ZLibStreamCompressor:
             write_stored_block(self._writer, chunk, final=False)
             self.routing.append(RoutingDecision(
                 backend="stored", requested=self.backend,
-                route=config.route, reason="stored-bypass", probe=probe,
+                reason="stored-bypass", probe=probe,
             ))
         else:
             decision = route_shard(
-                chunk, backend=self.backend, policy=self._lzss.policy,
-                config=config, index=index, probe=probe,
+                backend=self.backend, policy=self._lzss.policy,
+                config=self.router, index=index, probe=probe,
             )
             self.routing.append(decision)
             started = time.perf_counter()

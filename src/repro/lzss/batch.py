@@ -27,7 +27,7 @@ Greedy insert-all policies replay all segments in lockstep
 (:func:`repro.lzss.vector.replay_greedy_lockstep`); lazy policies fall
 back to the per-segment scalar replay, and unsupported policies or a
 missing numpy tokenize each payload with the scalar ``fast`` kernel —
-same bytes, no batching win.
+same bytes, no batching win (:func:`packed_kernel_usable` decides).
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional, Sequence
 
-from repro.lzss.backends import resolve
+from repro.lzss.backends import MIN_NUMPY, resolve
 from repro.lzss.hashchain import HashSpec
 from repro.lzss.policy import MatchPolicy
 from repro.lzss.tokens import MAX_MATCH, MIN_MATCH, TokenArray
 
 #: The batch engine's default matching policy: greedy, insert-all, one
 #: chain probe per position. Insert-all makes the chain topology
-#: parse-independent (the vector kernel's requirement) and a single
+#: parse-independent (the packed kernel's requirement) and a single
 #: chain round keeps the batched pass one `_batch_matches` sweep; the
 #: ratio loss against deeper chains is recovered by the shared dynamic
 #: Huffman plans (measured on the templated-JSON corpus: batch default
@@ -103,6 +103,40 @@ def trim_dict_tokens(tokens: TokenArray, combined, base: int) -> TokenArray:
     return out
 
 
+def _numpy_usable() -> bool:
+    """Import probe: is a new-enough numpy importable right now?
+
+    Runs per call (no caching): test suites block numpy via
+    ``sys.modules`` monkeypatching to exercise the fallback path, and a
+    cached probe would leak state between tests.
+    """
+    try:
+        import numpy
+    except Exception:
+        return False
+    try:
+        parts = numpy.__version__.split(".")
+        version = (int(parts[0]), int(parts[1]))
+    except (AttributeError, IndexError, ValueError):
+        return False
+    return version >= MIN_NUMPY
+
+
+def packed_kernel_usable(policy) -> bool:
+    """Whether ``auto`` runs the packed numpy kernel for ``policy``.
+
+    Needs a usable numpy and an insert-all policy (see
+    :func:`repro.lzss.vector.supports`); ``None`` means the batch
+    default policy, which qualifies.
+    """
+    from repro.lzss.vector import supports
+
+    if not _numpy_usable():
+        return False
+
+    return supports(policy or BATCH_GREEDY_POLICY)
+
+
 def _tokenize_one(data, window_size, hash_spec, policy, backend: str):
     """Scalar per-payload tokenization for one concrete backend."""
     if backend == "traced":
@@ -111,10 +145,6 @@ def _tokenize_one(data, window_size, hash_spec, policy, backend: str):
         return LZSSCompressor(
             window_size, hash_spec, policy, backend="traced"
         ).compress(bytes(data)).tokens
-    if backend == "vector":
-        from repro.lzss.vector import compress_vector
-
-        return compress_vector(bytes(data), window_size, hash_spec, policy)
     from repro.lzss.fast import compress_fast
 
     return compress_fast(bytes(data), window_size, hash_spec, policy)
@@ -233,24 +263,22 @@ def tokenize_batch(
 ) -> List[TokenArray]:
     """Tokenise every payload, batched where the kernel allows it.
 
-    ``backend`` follows the registry semantics
-    (:func:`repro.lzss.backends.resolve`): ``"vector"``/``"auto"`` run
-    the packed single-pass kernel when numpy is present and the policy
-    is insert-all; anything else degrades to the scalar per-payload
-    loop with identical output bytes. ``dictionary`` (already trimmed
-    to the window, see :func:`effective_dictionary`) primes every
-    payload's window.
+    ``"auto"`` runs the packed single-pass kernel when
+    :func:`packed_kernel_usable`; otherwise, and for any explicit
+    backend (:func:`repro.lzss.backends.resolve`), each payload runs
+    the scalar per-payload loop with identical output bytes.
+    ``dictionary`` (already trimmed to the window, see
+    :func:`effective_dictionary`) primes every payload's window.
     """
     hash_spec = hash_spec or HashSpec()
     policy = policy or BATCH_GREEDY_POLICY
     if not payloads:
         return []
-    requested = "vector" if backend == "auto" else backend
-    concrete = resolve(requested, policy)
-    if concrete == "vector":
+    if backend == "auto" and packed_kernel_usable(policy):
         return _tokenize_packed(
             payloads, dictionary, window_size, hash_spec, policy
         )
+    concrete = resolve(backend, policy)
     return [
         tokenize_scalar(p, dictionary, window_size, hash_spec, policy,
                         concrete)

@@ -101,7 +101,7 @@ def supports(policy) -> bool:
 
 
 def _numpy_or_none():
-    """Version-gated numpy import (same floor as the vector kernel)."""
+    """Version-gated numpy import (same floor as the batch kernel)."""
     from repro.lzss.backends import MIN_NUMPY
 
     try:

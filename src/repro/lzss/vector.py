@@ -1,50 +1,44 @@
-"""NumPy-vectorised longest-match tokenizer (the ``vector`` backend).
+"""NumPy longest-match kernel for packed multi-payload batches.
 
-:mod:`repro.lzss.fast` removes the trace bookkeeping but still walks
-hash chains one candidate at a time in Python bytecode. This module
-widens the datapath instead — the software analogue of the paper's
-32-bit data buses ("1 to 4 bytes during the first clock cycle and
-exactly 4 bytes during each following one", §IV) — by scoring *many*
-chain candidates per NumPy operation:
+:mod:`repro.lzss.fast` walks hash chains one candidate at a time in
+Python bytecode. This module scores *many* chain candidates per NumPy
+operation over one packed buffer of payloads — the GPULZ-style pass
+(arXiv 2304.07342) behind :func:`repro.batch.compress_batch`:
 
 1. **Batched hash computation.** Every position's 3-byte shift-XOR hash
    is computed in one whole-array pass (the paper's hash cache).
-2. **Wholesale chain construction.** For insert-all configurations
-   (every position enters the hash table: all lazy policies, and greedy
-   with ``max_insert_length >= MAX_MATCH``) the chain predecessor of a
-   position is simply the previous position with the same hash. One
-   stable argsort of the hash array yields the entire ``prev`` table —
-   no incremental head/next updates during parsing at all.
+2. **Wholesale chain construction.** For insert-all policies (every
+   position enters the hash table: all lazy policies, and greedy with
+   ``max_insert_length >= MAX_MATCH``) the chain predecessor of a
+   position is simply the previous position with the same hash, so one
+   sort of packed ``(segment, hash, position)`` keys yields the entire
+   ``prev`` table.
 3. **Batched candidate scoring.** The chain walk runs with the *chain
    step* as the outer loop and all still-searching positions as the
-   inner (vectorised) axis: each round gathers one candidate per active
-   position, screens it with a single 4-byte word compare, extends the
-   survivors in 4-byte strides (cumulative-equality first-mismatch),
-   and applies ZLib's ``good_length``/``nice_length``/budget heuristics
-   as array updates. Positions leave the active set exactly when the
-   scalar walk would have broken out of its loop.
-4. **Sequential replay.** A lean Python loop turns the per-position
-   best matches into the greedy or lazy token stream; with the chains
-   precomputed there is no per-byte insertion work left here.
+   inner (vectorised) axis, applying ZLib's ``good_length``/
+   ``nice_length``/budget heuristics as array updates. Match extension
+   compares 8 bytes per gathered XOR (:func:`_pair_lengths8`) — the
+   software counterpart of the paper's widened compare datapath ("1 to
+   4 bytes during the first clock cycle and exactly 4 bytes during each
+   following one", §IV).
+4. **Replay.** Greedy policies replay every segment in lockstep
+   (:func:`replay_greedy_lockstep`); lazy policies replay each segment
+   through :func:`_replay_lazy`.
 
-Token output is **bit-identical** to the traced oracle and the fast
-path for every supported configuration —
-``tests/properties/test_fast_differential.py`` holds the three-way line
-with Hypothesis. Greedy policies with ``max_insert_length < MAX_MATCH``
-(ZLib levels 1-3, the hardware-speed preset) skip hash insertion for
-long matches, so their chain topology depends on parse decisions and
-cannot be precomputed; :func:`supports` reports ``False`` and
-:func:`compress_vector` transparently delegates those to the scalar
-fast kernel.
+Per-segment tokens are **bit-identical** to the scalar ``fast`` kernel
+for every supported policy (``tests/properties/test_batch_differential.py``).
+Greedy policies with ``max_insert_length < MAX_MATCH`` skip hash
+insertion for long matches, so their chain topology depends on parse
+decisions and cannot be precomputed; :func:`supports` reports
+``False`` and the batch engine tokenizes those payloads with ``fast``.
 
-This module must import without NumPy present —
-:mod:`repro.lzss.backends` probes availability at runtime and resolves
-``"vector"`` to ``"fast"`` when the probe fails.
+This module must import without NumPy present — :mod:`repro.lzss.batch`
+probes availability at runtime before calling into it.
 """
 
 from __future__ import annotations
 
-try:  # probe-gated: repro.lzss.backends decides whether we are used
+try:  # probe-gated: repro.lzss.batch decides whether we are used
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None
@@ -73,71 +67,6 @@ def supports(policy) -> bool:
     return bool(policy.lazy) or policy.max_insert_length >= MAX_MATCH
 
 
-def compress_vector(data, window_size, hash_spec, policy) -> TokenArray:
-    """Tokenise ``data`` with the vectorised matcher.
-
-    Bit-identical to :func:`repro.lzss.fast.compress_fast` (and hence to
-    the traced oracle) for every configuration; unsupported greedy
-    configurations and a missing NumPy delegate to the scalar kernel.
-    """
-    if np is None or not supports(policy):
-        from repro.lzss.fast import compress_fast
-
-        return compress_fast(data, window_size, hash_spec, policy)
-    tokens = TokenArray()
-    n = len(data)
-    if n == 0:
-        return tokens
-    if n < MIN_MATCH + 1:
-        # Too short for any match: all literals, skip the array setup.
-        for byte in data:
-            tokens.append_literal(byte)
-        return tokens
-
-    buf = np.frombuffer(data, dtype=np.uint8)
-    hashes = _hash_all_np(buf, hash_spec)
-    prev_all, rank = _prev_occurrence(hashes)
-    words4 = _words4(buf)
-    max_dist = window_size - MIN_LOOKAHEAD
-    cache = {}  # sub-chain tables, shared between the two lazy passes
-
-    if policy.lazy:
-        full_len, full_dist = _batch_matches(
-            buf, words4, prev_all, rank, n, max_dist,
-            policy.max_chain, policy.good_length, policy.nice_length,
-            cache,
-        )
-        # A good previous match quarters the chain budget *before* the
-        # search (deflate_slow); that variant is only consulted when
-        # prev_len can be in [good_length, max_lazy).
-        quart_chain = policy.max_chain >> 2
-        need_quart = quart_chain > 0 and policy.good_length < policy.max_lazy
-        if need_quart:
-            quart_len, quart_dist = _batch_matches(
-                buf, words4, prev_all, rank, n, max_dist,
-                quart_chain, policy.good_length, policy.nice_length,
-                cache,
-            )
-        else:
-            quart_len = quart_dist = None
-        return _replay_lazy(
-            data, n, policy,
-            full_len, full_dist, quart_len, quart_dist,
-        )
-
-    if policy.max_chain == 1:
-        best_len, best_dist = _single_chain_matches(
-            _padded_words8(buf), prev_all, n, max_dist
-        )
-    else:
-        best_len, best_dist = _batch_matches(
-            buf, words4, prev_all, rank, n, max_dist,
-            policy.max_chain, policy.good_length, policy.nice_length,
-            cache,
-        )
-    return _replay_greedy(data, n, best_len, best_dist)
-
-
 # ----------------------------------------------------------------------
 # whole-buffer precomputation
 # ----------------------------------------------------------------------
@@ -147,7 +76,7 @@ def _hash_all_np(buf, spec):
     """3-byte shift-XOR hash of every position, one whole-array pass.
 
     Same recurrence as :func:`repro.lzss.hashchain.hash_all`, kept as a
-    NumPy array (the argsort below consumes it directly — no boxing).
+    NumPy array (the key sort consumes it directly — no boxing).
     """
     b = buf.astype(np.uint32)
     s = np.uint32(spec.shift)
@@ -186,28 +115,6 @@ def _prev_from_keys(keys, pos_bits, want_rank=True):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size, dtype=np.int64)
     return prev_all, rank
-
-
-def _prev_occurrence(hashes):
-    """``prev[p]`` = nearest ``q < p`` with ``hashes[q] == hashes[p]``.
-
-    For insert-all configurations this *is* the hash chain: the head
-    table entry a position sees in its PREPARE step is exactly the
-    previous occurrence of its own hash, and following ``prev``
-    repeatedly reproduces the incremental head/next walk (ring aliasing
-    is unreachable within the distance limit, the same argument
-    :class:`repro.lzss.hashchain.ChainTables` makes).
-
-    Also returns ``rank`` — each position's index in the hash-sorted
-    order. Within one bucket the rank difference between two members is
-    exactly the number of chain links between them, which is what lets
-    the sub-chain walks account chain budget without stepping every
-    link.
-    """
-    keys = (hashes.astype(np.uint64) << np.uint64(42)) | np.arange(
-        hashes.size, dtype=np.uint64
-    )
-    return _prev_from_keys(keys, 42)
 
 
 def _prev_occurrence_batch(hashes, seg_pos, seam, table_size,
@@ -736,39 +643,6 @@ def _sub_walk(buf, words4, w8, prev_sub, rank, good_length, nice_length,
 # ----------------------------------------------------------------------
 
 
-def _replay_greedy(data, n, best_len, best_dist):
-    """Greedy parse from precomputed per-position matches.
-
-    Insert-all means there is no table bookkeeping left, and the parse
-    takes the first match-bearing position at or after the current one
-    — so the Python loop runs once per *match*, with the literal runs
-    in between transferred as C-level bulk extends.
-    """
-    tokens = TokenArray()
-    out_lengths = array("i")
-    out_values = array("i")
-    match_at = np.flatnonzero(best_len >= MIN_MATCH)
-    mpos = match_at.tolist()
-    mlen = best_len[match_at].tolist()
-    mdist = best_dist[match_at].tolist()
-    pos = 0
-    for q, length, dist in zip(mpos, mlen, mdist):
-        if q < pos:  # inside the previous match: never visited
-            continue
-        if q > pos:
-            out_lengths.extend(bytes(q - pos))  # zero length = literal
-            out_values.extend(data[pos:q])
-        out_lengths.append(length)
-        out_values.append(dist)
-        pos = q + length
-    if pos < n:
-        out_lengths.extend(bytes(n - pos))
-        out_values.extend(data[pos:n])
-    tokens.lengths = out_lengths
-    tokens.values = out_values
-    return tokens
-
-
 def _replay_lazy(data, n, policy, full_len, full_dist,
                  quart_len, quart_dist):
     """deflate_slow's one-token deferral over precomputed matches.
@@ -933,9 +807,9 @@ def batch_match_arrays(buf, seg_of, end_of, seam, window_size, hash_spec,
 def replay_greedy_lockstep(buf, seg_starts, seg_ends, best_len, best_dist):
     """Greedy replay of every segment at once, round-synchronised.
 
-    The scalar :func:`_replay_greedy` loop runs once per match; over a
-    batch of small payloads that is still thousands of Python
-    iterations. This version advances *all* segments together: each
+    A per-segment greedy loop runs once per match; over a batch of
+    small payloads that is thousands of Python iterations. This
+    version advances *all* segments together: each
     round jumps every active segment to its next match through a
     precomputed next-match suffix array (one gather, no per-round
     search), records (literal-run, match) pairs as arrays, and only

@@ -104,7 +104,7 @@ class ShardTask:
     #: Re-parse each searched block against its emerging Huffman prices
     #: (ADAPTIVE + cut_search only; see repro.deflate.splitter).
     refine: bool = False
-    #: Per-shard routing / traced-sampling policy (None = static).
+    #: Traced-sampling policy (None = no sampling).
     router: Optional[RouterConfig] = None
     #: Also compute the shard's CRC-32 (gzip framing stitches CRCs the
     #: way ZLib framing stitches Adlers; see repro.serve).
@@ -154,9 +154,8 @@ def _compress_shard_parts(
     """Route and compress one shard; return (body, decision, telemetry).
 
     The statistical probe runs **at most once** per shard: the stored
-    bypass and the backend router both consume the same
-    :class:`~repro.lzss.router.ShardProbe` (or the caller's precomputed
-    ``probe``), fixing the historical double-sniff. ``telemetry`` is a
+    bypass takes it (or the caller's precomputed ``probe``) and the
+    decision record carries it. ``telemetry`` is a
     :class:`~repro.estimator.calibration.CalibrationPoint` for
     traced-sample shards, ``None`` otherwise; ``decision`` is ``None``
     only for empty shards.
@@ -167,12 +166,11 @@ def _compress_shard_parts(
     telemetry = None
     if data:
         need_sniff = strategy is BlockStrategy.ADAPTIVE and sniff
-        need_probe = config.route == "probe" and backend == "auto"
-        if probe is None and (need_sniff or need_probe):
-            probe = probe_shard(data, match_density=need_probe)
+        if probe is None and need_sniff:
+            probe = probe_shard(data)
         if need_sniff and probe.incompressible:
             decision = RoutingDecision(
-                backend="stored", requested=backend, route=config.route,
+                backend="stored", requested=backend,
                 reason="stored-bypass", probe=probe,
             )
             write_stored_block(writer, data, final=False)
@@ -182,7 +180,7 @@ def _compress_shard_parts(
             writer.write_bits(0xFFFF, 16)
             return writer.flush(), decision, telemetry
         decision = route_shard(
-            data, backend=backend, policy=policy, config=config,
+            backend=backend, policy=policy, config=config,
             index=shard_index, probe=probe,
         )
         lzss = LZSSCompressor(window_size, hash_spec, policy,
@@ -255,11 +253,11 @@ def compress_shard_body(
     nothing), and the *next* shard's carried window is plaintext either
     way, so the decision is purely local to this shard.
 
-    ``router`` activates per-shard routing and traced sampling
-    (:mod:`repro.lzss.router`); ``shard_index`` keys the deterministic
-    sampling policy; a precomputed ``probe`` is reused so the shard is
-    sniffed at most once. Routing never changes the output bytes —
-    every backend is bit-identical by contract.
+    ``router`` activates traced sampling (:mod:`repro.lzss.router`);
+    ``shard_index`` keys the deterministic sampling policy; a
+    precomputed ``probe`` is reused so the shard is sniffed at most
+    once. Sampling never changes the output bytes — ``traced`` and
+    ``fast`` are bit-identical by contract.
     """
     from repro.api import CompressRequest, reject_legacy_trace
 
@@ -413,9 +411,6 @@ class ShardedCompressor:
         refine: Optional[bool] = None,
         shard_backends=None,
         profile=None,
-        route: Optional[str] = None,
-        probe_entropy_bits: Optional[float] = None,
-        probe_match_density: Optional[float] = None,
         trace_fraction: Optional[float] = None,
         trace_seed: Optional[int] = None,
         router: Optional[RouterConfig] = None,
@@ -447,9 +442,6 @@ class ShardedCompressor:
             backend=backend,
             refine=refine,
             zdict=zdict if zdict else None,
-            route=route,
-            probe_entropy_bits=probe_entropy_bits,
-            probe_match_density=probe_match_density,
             trace_fraction=trace_fraction,
             trace_seed=trace_seed,
             router=router,
@@ -600,9 +592,6 @@ def compress_parallel(
     refine: Optional[bool] = None,
     shard_backends=None,
     profile=None,
-    route: Optional[str] = None,
-    probe_entropy_bits: Optional[float] = None,
-    probe_match_density: Optional[float] = None,
     trace_fraction: Optional[float] = None,
     trace_seed: Optional[int] = None,
     zdict: bytes = b"",
@@ -612,10 +601,9 @@ def compress_parallel(
 
     ``backend`` selects the tokenizer for every shard and
     ``shard_backends`` overrides it per shard index (the traced-sample
-    seam); ``route="probe"`` instead decides ``auto`` per shard from a
-    statistical probe, and ``trace_fraction``/``trace_seed`` divert a
-    deterministic sample of shards through the instrumented backend
-    (see :mod:`repro.lzss.router`); ``profile`` accepts a
+    seam); ``trace_fraction``/``trace_seed`` divert a deterministic
+    sample of shards through the instrumented backend (see
+    :mod:`repro.lzss.router`); ``profile`` accepts a
     :class:`repro.profile.CompressionProfile` or preset name, with
     explicit kwargs winning over profile fields.
 
@@ -646,9 +634,6 @@ def compress_parallel(
         refine=refine,
         shard_backends=shard_backends,
         profile=profile,
-        route=route,
-        probe_entropy_bits=probe_entropy_bits,
-        probe_match_density=probe_match_density,
         trace_fraction=trace_fraction,
         trace_seed=trace_seed,
         zdict=zdict,

@@ -17,8 +17,7 @@ way partial configs should.
 Presets:
 
 * ``fastest`` — greedy level-1 policy, fixed Huffman tables, no cut
-  search, ``auto`` backend (the vector kernel where it wins): minimum
-  latency per byte;
+  search, the scalar ``fast`` tokenizer: minimum latency per byte;
 * ``balanced`` — lazy level-6 policy, adaptive best-of-three block
   coding with the cut search and sniff on: the zlib-default trade;
 * ``best`` — lazy level-9 policy, 32 KiB window, the exact
@@ -42,8 +41,8 @@ class CompressionProfile:
     """A named bundle of compression settings; ``None`` fields are unset.
 
     >>> prof = CompressionProfile(window_size=8192, backend="fast")
-    >>> prof.merged(backend="vector").backend
-    'vector'
+    >>> prof.merged(backend="sa").backend
+    'sa'
     >>> prof.merged(backend=None).window_size  # None kwargs don't unset
     8192
     """
@@ -60,19 +59,11 @@ class CompressionProfile:
     # emerging Huffman prices (repro.deflate.splitter.refine_blocks) —
     # a ratio knob, effective only with adaptive strategy + cut search.
     refine: Optional[bool] = None
-    # Per-shard routing (repro.lzss.router): "static" resolves the
-    # backend once per stream, "probe" decides per shard; the two
-    # probe thresholds gate the vector choice; trace_fraction/seed
-    # drive the deterministic traced-sampling telemetry policy.
-    route: Optional[str] = None
-    probe_entropy_bits: Optional[float] = None
-    probe_match_density: Optional[float] = None
+    # Deterministic traced-sampling telemetry policy (repro.lzss.router).
     trace_fraction: Optional[float] = None
     trace_seed: Optional[int] = None
-    # Shards shorter than probe_min_bytes skip the probe (fast path);
-    # batch_shared_plan toggles the pooled dynamic Huffman plan in
-    # repro.batch.compress_batch (False pins every payload to FIXED).
-    probe_min_bytes: Optional[int] = None
+    # Pooled dynamic Huffman plan in repro.batch.compress_batch (False
+    # pins every payload to FIXED).
     batch_shared_plan: Optional[bool] = None
 
     def merged(self, **overrides) -> "CompressionProfile":
@@ -106,7 +97,7 @@ def _presets() -> Dict[str, CompressionProfile]:
             strategy=BlockStrategy.FIXED,
             cut_search=False,
             sniff=True,
-            backend="auto",
+            backend="fast",
         ),
         "balanced": CompressionProfile(
             window_size=16384,

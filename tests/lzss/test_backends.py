@@ -18,21 +18,12 @@ def block_numpy(monkeypatch):
 
 
 class TestAvailability:
-    def test_pure_python_backends_always_present(self):
-        names = backends.available()
-        assert "traced" in names
-        assert "fast" in names
-
-    def test_vector_present_with_numpy(self):
-        # The dev/CI image ships numpy; the registry must surface it.
-        pytest.importorskip("numpy")
-        assert "vector" in backends.available()
-        assert "vector" in backends.registry()
-
-    def test_without_numpy_vector_disappears(self, monkeypatch):
-        block_numpy(monkeypatch)
-        assert backends.available() == ("traced", "fast", "sa")
+    def test_pure_python_backends_always_present(self, monkeypatch):
+        assert backends.BACKEND_NAMES == ("traced", "fast", "sa")
+        assert backends.available() == backends.BACKEND_NAMES
         assert set(backends.registry()) == {"fast", "sa"}
+        block_numpy(monkeypatch)
+        assert backends.available() == backends.BACKEND_NAMES
 
     def test_sa_always_listed(self, monkeypatch):
         # sa carries its own pure-Python builder, so it never leaves
@@ -44,12 +35,16 @@ class TestAvailability:
         assert "sa" in backends.registry()
 
     def test_probe_is_not_cached(self, monkeypatch):
+        # The batch engine's packed-kernel choice re-probes numpy per
+        # call, so blocking it mid-process takes effect immediately.
+        from repro.lzss.batch import packed_kernel_usable
+
         pytest.importorskip("numpy")
-        assert "vector" in backends.available()
+        assert packed_kernel_usable(HW_MAX_POLICY)
         block_numpy(monkeypatch)
-        assert "vector" not in backends.available()
+        assert not packed_kernel_usable(HW_MAX_POLICY)
         monkeypatch.undo()
-        assert "vector" in backends.available()
+        assert packed_kernel_usable(HW_MAX_POLICY)
 
 
 class TestResolve:
@@ -62,31 +57,15 @@ class TestResolve:
             backends.resolve("turbo")
         with pytest.raises(ConfigError):
             backends.resolve("Fast")  # names are case-sensitive
+        # The single-stream numpy kernel is gone; the error lists what
+        # is left.
+        with pytest.raises(ConfigError, match="traced, fast, sa"):
+            compress_tokens(SAMPLE, backend="vector")
 
-    def test_vector_without_numpy_degrades_to_fast(self, monkeypatch):
-        block_numpy(monkeypatch)
-        assert backends.resolve("vector", HW_MAX_POLICY) == "fast"
-        assert backends.resolve("auto", HW_MAX_POLICY) == "fast"
-
-    def test_vector_unsupported_policy_degrades_to_fast(self):
-        pytest.importorskip("numpy")
-        # Greedy with partial inserts (max_insert_length=4) is the one
-        # shape the batch kernel cannot replay exactly.
-        assert not HW_SPEED_POLICY.lazy
-        assert backends.resolve("vector", HW_SPEED_POLICY) == "fast"
-
-    def test_vector_supported_shapes(self):
-        pytest.importorskip("numpy")
-        assert backends.resolve("vector", HW_MAX_POLICY) == "vector"
-        assert backends.resolve("vector", ZLIB_LEVELS[6]) == "vector"
-
-    def test_auto_prefers_vector_only_for_greedy_insert_all(self):
-        pytest.importorskip("numpy")
-        assert backends.resolve("auto", HW_MAX_POLICY) == "vector"
-        # Lazy parses are faster on the scalar path; auto must not
-        # pessimise them.
-        assert backends.resolve("auto", ZLIB_LEVELS[6]) == "fast"
-        assert backends.resolve("auto", None) == "fast"
+    def test_auto_is_fast_for_every_level(self):
+        for policy in (*ZLIB_LEVELS.values(), HW_MAX_POLICY,
+                       HW_SPEED_POLICY, None):
+            assert backends.resolve("auto", policy) == "fast"
 
     def test_auto_never_picks_sa(self):
         # sa trades speed for ratio; it must be asked for explicitly.
@@ -103,7 +82,7 @@ class TestResolve:
     def test_fallback_output_identical(self, monkeypatch):
         want = compress_tokens(SAMPLE, backend="fast").tokens
         block_numpy(monkeypatch)
-        got = compress_tokens(SAMPLE, backend="vector")
+        got = compress_tokens(SAMPLE, backend="auto")
         assert got.backend == "fast"
         assert list(got.tokens.lengths) == list(want.lengths)
         assert list(got.tokens.values) == list(want.values)
